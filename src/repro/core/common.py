@@ -9,7 +9,12 @@ alongside the maximum so reports can show *which* link is the bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Mapping
+
+import numpy as np
+
+from repro.topology.artifacts import resolve_artifacts
+from repro.topology.tree import TreeTopology
 
 
 @dataclass(frozen=True)
@@ -54,3 +59,34 @@ class LowerBound:
         if self.value > 0:
             return cost / self.value
         return 0.0 if cost == 0 else float("inf")
+
+
+def shared_group_bound(
+    tree: TreeTopology,
+    node_groups: Mapping[Hashable, np.ndarray],
+    description: str,
+) -> LowerBound:
+    """The per-link bound ``max_e |groups spanning e| / (2 w_e)``.
+
+    ``node_groups`` maps compute nodes to the group ids they hold
+    (repeats allowed); a group spans link ``e`` when it is held on both
+    sides of ``e``.  That is exactly when ``e`` lies on the Steiner
+    tree of the group's holders, so every link's count comes out of one
+    :meth:`~repro.topology.steiner.RoutingIndex.spanning_counts` call on
+    the tree's shared routing index.  The tree must be symmetric;
+    ``per_edge`` lists every link in ``tree.undirected_edges()`` order.
+    """
+    routing = resolve_artifacts(tree).oracle.routing_index
+    holders = np.repeat(
+        np.array([routing.index_of[v] for v in node_groups], dtype=np.intp),
+        [len(groups) for groups in node_groups.values()],
+    )
+    groups = np.concatenate(
+        [np.asarray(g, dtype=np.int64) for g in node_groups.values()]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    counts = routing.spanning_counts(groups, holders)
+    per_edge = dict(
+        zip(routing.links, (counts / (2.0 * routing.link_width)).tolist())
+    )
+    return LowerBound.from_per_edge(per_edge, description)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.common import LowerBound
+from repro.core.common import LowerBound, shared_group_bound
 from repro.data.columns import KeyValueArrays
 from repro.data.distribution import Distribution
 from repro.errors import ProtocolError
@@ -82,42 +82,32 @@ def components_lower_bound(
         cost(e) >= |components spanning e| / (2 w_e)
 
     — the connectivity analogue of the group-by shared-key bound,
-    full-duplex factor included.
+    full-duplex factor included.  As there, the spanning count on ``e``
+    equals the number of components whose holder nodes' Steiner tree
+    contains ``e``; :func:`~repro.core.common.shared_group_bound`
+    counts every link at once, with one group per component.
     """
     tree.require_symmetric("the connectivity lower bound")
-    computes = sorted(tree.compute_nodes, key=node_sort_key)
-    fragments = {v: distribution.fragment(v, tag) for v in computes}
-    all_edges = [f for f in fragments.values() if len(f)]
-    if not all_edges:
-        return LowerBound.from_per_edge(
-            {edge: 0.0 for edge in tree.undirected_edges()},
-            "per-link spanning-component counting (connectivity)",
-        )
-    src, dst = decode_edges(np.concatenate(all_edges))
+    node_edges = {
+        v: decode_edges(distribution.fragment(v, tag))
+        for v in tree.compute_nodes
+    }
+    src = np.concatenate([s for s, _ in node_edges.values()])
+    dst = np.concatenate([d for _, d in node_edges.values()])
     component_of = reference_components(np.stack([src, dst], axis=1))
-    node_components: dict = {}
-    for v, fragment in fragments.items():
-        if not len(fragment):
-            node_components[v] = frozenset()
-            continue
-        s, d = decode_edges(fragment)
-        node_components[v] = frozenset(
-            component_of[int(u)] for u in np.unique(np.concatenate([s, d]))
-        )
-    per_edge: dict = {}
-    for edge in tree.undirected_edges():
-        a_side, b_side = tree.compute_sides(edge)
-        a_comps = frozenset().union(
-            *(node_components.get(v, frozenset()) for v in a_side)
-        )
-        b_comps = frozenset().union(
-            *(node_components.get(v, frozenset()) for v in b_side)
-        )
-        per_edge[edge] = len(a_comps & b_comps) / (
-            2.0 * tree.undirected_bandwidth(edge)
-        )
-    return LowerBound.from_per_edge(
-        per_edge, "per-link spanning-component counting (connectivity)"
+    vertices = np.fromiter(component_of, np.int64, len(component_of))
+    labels = np.fromiter(component_of.values(), np.int64, len(component_of))
+    order = np.argsort(vertices)
+    vertices, labels = vertices[order], labels[order]
+    # both endpoints of an edge share its component: sources suffice
+    node_components = {
+        v: labels[np.searchsorted(vertices, s)]
+        for v, (s, _) in node_edges.items()
+    }
+    return shared_group_bound(
+        tree,
+        node_components,
+        "per-link spanning-component counting (connectivity)",
     )
 
 

@@ -85,6 +85,22 @@ class RoutingIndex:
             timer += 1
             stack.extend(reversed(children[x]))
         self.tin = tin
+        # canonical links in ``tree.undirected_edges()`` order; a link's
+        # child endpoint (the deeper one under the rooting) is where a
+        # pushed accumulator holds that link's load
+        self.links: tuple = tuple(tree.undirected_edges())
+        ends = np.array(
+            [(self.index_of[a], self.index_of[b]) for a, b in self.links],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        self.link_child = np.where(
+            depth[ends[:, 0]] > depth[ends[:, 1]], ends[:, 0], ends[:, 1]
+        )
+        #: bandwidth of each link in its canonical direction: the link
+        #: width on a symmetric tree
+        self.link_width = np.array(
+            [tree.bandwidth(a, b) for a, b in self.links], dtype=np.float64
+        )
 
     @property
     def num_nodes(self) -> int:
@@ -132,6 +148,13 @@ class RoutingIndex:
         np.subtract.at(down, meet, counts)
         return self._push_loads(up, down)
 
+    def _push(self, up: np.ndarray, down: np.ndarray) -> None:
+        """Push tree-difference charges up the levels, in place."""
+        parent = self.parent
+        for level in self.levels_desc:
+            np.add.at(up, parent[level], up[level])
+            np.add.at(down, parent[level], down[level])
+
     def _push_loads(self, up: np.ndarray, down: np.ndarray) -> dict:
         """Prefix-sum tree-difference arrays into a per-edge load dict.
 
@@ -140,10 +163,8 @@ class RoutingIndex:
         load on the edge between ``x`` and its parent — upward
         (``x -> parent``) for ``up``, downward for ``down``.
         """
+        self._push(up, down)
         parent = self.parent
-        for level in self.levels_desc:
-            np.add.at(up, parent[level], up[level])
-            np.add.at(down, parent[level], down[level])
         loads: dict = {}
         nodes = self.nodes
         for x in np.flatnonzero(up).tolist():
@@ -184,14 +205,27 @@ class RoutingIndex:
         terminals contribute empty paths, so destination sets need no
         deduplication against the source.
         """
+        if len(src) == 0:
+            return {}
+        return self._push_loads(
+            *self._multicast_charges(src, terminals, starts, ends, counts)
+        )
+
+    def _multicast_charges(
+        self,
+        src: np.ndarray,
+        terminals: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        counts: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unpushed ``(up, down)`` difference arrays of a multicast batch."""
         src = np.asarray(src, dtype=np.intp)
         terminals = np.asarray(terminals, dtype=np.intp)
         starts = np.asarray(starts, dtype=np.intp)
         ends = np.asarray(ends, dtype=np.intp)
         counts = np.asarray(counts, dtype=np.int64)
         num_groups = len(src)
-        if num_groups == 0:
-            return {}
         lens = ends - starts
         k = lens + 1  # terminals per group, the source included
         out_end = np.cumsum(k)
@@ -224,7 +258,48 @@ class RoutingIndex:
         np.subtract.at(down, meet, per_terminal)
         np.subtract.at(down, src, counts)
         np.add.at(down, roots, counts)
-        return self._push_loads(up, down)
+        return up, down
+
+    def spanning_counts(
+        self, groups: np.ndarray, node_idx: np.ndarray
+    ) -> np.ndarray:
+        """Per-link number of groups with holders on both sides of the link.
+
+        ``(groups[i], node_idx[i])`` says group ``groups[i]`` is held at
+        node index ``node_idx[i]``; pairs may repeat.  A group has
+        holders on both sides of a link exactly when the link lies on
+        the Steiner tree of its holders, so the counts are the
+        direction-folded loads of one :meth:`multicast_loads`-style
+        batch: every group with two or more distinct holders multicasts
+        one element from its first holder (in DFS preorder) to the
+        others.  Returns an int64 array aligned with :attr:`links`.
+        """
+        groups = np.asarray(groups)
+        node_idx = np.asarray(node_idx, dtype=np.intp)
+        order = np.lexsort((self.tin[node_idx], groups))
+        groups, node_idx = groups[order], node_idx[order]
+        distinct = np.ones(len(groups), dtype=bool)
+        distinct[1:] = (groups[1:] != groups[:-1]) | (
+            node_idx[1:] != node_idx[:-1]
+        )
+        groups, node_idx = groups[distinct], node_idx[distinct]
+        first = np.ones(len(groups), dtype=bool)
+        first[1:] = groups[1:] != groups[:-1]
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(groups))
+        shared = ends - starts > 1
+        starts, ends = starts[shared], ends[shared]
+        if len(starts) == 0:
+            return np.zeros(len(self.links), dtype=np.int64)
+        up, down = self._multicast_charges(
+            node_idx[starts],
+            node_idx,
+            starts + 1,
+            ends,
+            np.ones(len(starts), dtype=np.int64),
+        )
+        self._push(up, down)
+        return (up + down)[self.link_child]
 
 
 class PathOracle:

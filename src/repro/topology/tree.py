@@ -118,6 +118,7 @@ class TreeTopology:
         self._build_subtrees()
         self._sides_cache: dict[UndirectedEdge, tuple[frozenset, frozenset]] = {}
         self._compute_sides_cache: dict[UndirectedEdge, tuple[frozenset, frozenset]] = {}
+        self._undirected_edges: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -266,16 +267,23 @@ class TreeTopology:
         return (u, v) if node_sort_key(u) <= node_sort_key(v) else (v, u)
 
     def undirected_edges(self) -> list:
-        """All links as canonical undirected edges, deterministic order."""
-        seen = set()
-        result = []
-        for (u, v) in self._bandwidth:
-            edge = (u, v) if node_sort_key(u) <= node_sort_key(v) else (v, u)
-            if edge not in seen:
-                seen.add(edge)
-                result.append(edge)
-        result.sort(key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1])))
-        return result
+        """All links as canonical undirected edges, deterministic order.
+
+        The order is computed once per (immutable) tree; each call
+        returns a fresh list, so callers may mutate it freely.
+        """
+        if self._undirected_edges is None:
+            edges = {
+                (u, v) if node_sort_key(u) <= node_sort_key(v) else (v, u)
+                for (u, v) in self._bandwidth
+            }
+            self._undirected_edges = tuple(
+                sorted(
+                    edges,
+                    key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1])),
+                )
+            )
+        return list(self._undirected_edges)
 
     def undirected_bandwidth(self, edge: UndirectedEdge) -> float:
         """Bandwidth of a link in a symmetric tree (both directions equal)."""

@@ -1,7 +1,11 @@
 """Unit tests for the path/Steiner oracle (multicast deduplication)."""
 
+import numpy as np
+import pytest
+
 from repro.topology.builders import two_level
-from repro.topology.steiner import PathOracle
+from repro.topology.steiner import PathOracle, RoutingIndex
+from repro.topology.tree import node_sort_key
 
 
 class TestPathOracle:
@@ -59,3 +63,65 @@ class TestPathOracle:
             assert self.tree.path_nodes("v5", v).index(v) > self.tree.path_nodes(
                 "v5", u
             ).index(u)
+
+
+class TestSpanningCounts:
+    """``RoutingIndex.spanning_counts``: groups held on both sides per link."""
+
+    def setup_method(self):
+        # the benchmark's fat-tree(8x8): 8 racks of 8 under one core
+        self.tree = two_level([8] * 8, leaf_bandwidth=2.0, uplink_bandwidth=4.0)
+        self.routing = RoutingIndex(self.tree)
+        self.computes = sorted(self.tree.compute_nodes, key=node_sort_key)
+
+    def _side_counts(self, holders: dict) -> list:
+        """Per link, groups with a holder on each compute side."""
+        counts = []
+        for link in self.routing.links:
+            a_side, b_side = self.tree.compute_sides(link)
+            counts.append(
+                sum(
+                    1
+                    for nodes in holders.values()
+                    if nodes & a_side and nodes & b_side
+                )
+            )
+        return counts
+
+    def test_links_follow_undirected_edges(self):
+        assert list(self.routing.links) == self.tree.undirected_edges()
+        assert len(self.routing.link_child) == 72
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_compute_side_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        groups = rng.integers(0, 60, size=400)
+        nodes = rng.integers(0, len(self.computes), size=400)
+        holders: dict = {}
+        for group, node in zip(groups.tolist(), nodes.tolist()):
+            holders.setdefault(group, set()).add(self.computes[node])
+        index = np.array(
+            [self.routing.index_of[self.computes[n]] for n in nodes.tolist()]
+        )
+        counts = self.routing.spanning_counts(groups, index)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == self._side_counts(holders)
+        assert counts.any()
+
+    def test_repeats_and_single_holders_count_nothing_extra(self):
+        v = [self.routing.index_of[node] for node in self.computes]
+        # group 7 sits on one node (twice); group 3 spans two racks
+        groups = np.array([7, 7, 3, 3, 3])
+        index = np.array([v[0], v[0], v[0], v[63], v[63]])
+        counts = self.routing.spanning_counts(groups, index)
+        assert counts.tolist() == self._side_counts(
+            {3: {self.computes[0], self.computes[63]}}
+        )
+        assert counts.sum() == 4  # leaf, uplink, uplink, leaf
+
+    def test_empty_input_gives_all_zeros(self):
+        counts = self.routing.spanning_counts(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
+        )
+        assert counts.tolist() == [0] * len(self.routing.links)
+        assert counts.dtype == np.int64

@@ -246,6 +246,18 @@ class TestMisc:
             == simple_two_level.undirected_edges()
         )
 
+    def test_undirected_edges_memo_survives_caller_mutation(
+        self, simple_two_level
+    ):
+        first = simple_two_level.undirected_edges()
+        expected = list(first)
+        first.reverse()
+        first.append(("ghost", "edge"))
+        assert simple_two_level.undirected_edges() == expected
+        assert simple_two_level.undirected_edges() is not (
+            simple_two_level.undirected_edges()
+        )
+
     def test_degree_and_leaves(self, simple_two_level):
         assert simple_two_level.degree("core") == 2
         assert simple_two_level.degree("w2") == 4
